@@ -56,7 +56,7 @@ bench:
 
 # The ratcheted hot-path benchmarks in JSON form, as the CI bench-smoke
 # job runs them: pinned GOMAXPROCS, fixed -benchtime, -count repeats.
-# BenchmarkExchange covers the staged/monolithic × zero-copy/marshal
+# BenchmarkExchange covers the stage-size × zero-copy/marshal
 # exchange grid (with peak-staging-bytes), BenchmarkLocalSortIntKeys the
 # radix dispatch, BenchmarkMergeKernel the branchless merge,
 # BenchmarkSpillMerge the out-of-core exchange against its in-memory

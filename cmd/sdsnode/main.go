@@ -238,7 +238,7 @@ func run(args []string) (code int) {
 		in       = fs.String("in", "", "read this rank's shard from a float64 record file instead")
 		out      = fs.String("out", "", "write the sorted shard here")
 		stable   = fs.Bool("stable", false, "stable sort")
-		stage    = fs.Int64("stage", 0, "staging window for the data exchange in bytes (0 = monolithic all-to-all)")
+		stage    = fs.Int64("stage", 0, "staging window for the data exchange in bytes (0 = one chunk per peer)")
 		seed     = fs.Int64("seed", 1, "workload seed (combined with rank)")
 		timeout  = fs.Duration("timeout", 30*time.Second, "bootstrap timeout")
 
@@ -769,7 +769,7 @@ func sortJob(c *comm.Comm, p jobParams, data []float64, ck *core.Checkpointing, 
 	// telemetry plane exports them live (in particular the staging
 	// window gauge mid-exchange); the log line below is therefore
 	// cumulative in -serve mode. Wired unconditionally: the zero-copy
-	// counters are meaningful for the monolithic exchange too.
+	// counters are meaningful at stage 0 (one chunk per peer) too.
 	exch := env.exch
 	aopt.Core.Exchange = exch
 	aopt.Core.Mem = env.gauge

@@ -337,58 +337,6 @@ func TestOversizeFrameRejected(t *testing.T) {
 	}
 }
 
-func TestAdvancedCollectivesOverTCP(t *testing.T) {
-	launch(t, 4, nil, func(c *comm.Comm) error {
-		// ExScan: exclusive prefix sums of rank+1.
-		add := func(a, b int64) int64 { return a + b }
-		got, err := c.ExScan(int64(c.Rank()+1), 0, add)
-		if err != nil {
-			return err
-		}
-		if want := int64(c.Rank() * (c.Rank() + 1) / 2); got != want {
-			return fmt.Errorf("exscan rank %d: got %d want %d", c.Rank(), got, want)
-		}
-		// Ring allgather matches flat allgather.
-		payload := []byte{byte(c.Rank() * 7)}
-		flat, err := c.Allgather(payload)
-		if err != nil {
-			return err
-		}
-		ring, err := c.RingAllgather(payload)
-		if err != nil {
-			return err
-		}
-		for r := range flat {
-			if len(flat[r]) != 1 || len(ring[r]) != 1 || flat[r][0] != ring[r][0] {
-				return fmt.Errorf("allgather mismatch at %d", r)
-			}
-		}
-		// Pairwise alltoall (power-of-two schedule over TCP).
-		parts := make([][]byte, 4)
-		for dst := range parts {
-			parts[dst] = []byte{byte(c.Rank()), byte(dst)}
-		}
-		out, err := c.PairwiseAlltoall(parts)
-		if err != nil {
-			return err
-		}
-		for src := range out {
-			if out[src][0] != byte(src) || out[src][1] != byte(c.Rank()) {
-				return fmt.Errorf("pairwise from %d: %v", src, out[src])
-			}
-		}
-		// Reduce to rank 2.
-		total, err := c.Reduce(2, int64(c.Rank()), add)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 2 && total != 6 {
-			return fmt.Errorf("reduce got %d", total)
-		}
-		return nil
-	})
-}
-
 func TestVerifyOverTCP(t *testing.T) {
 	launch(t, 3, nil, func(c *comm.Comm) error {
 		// Globally sorted blocks across the TCP world.

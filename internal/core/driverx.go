@@ -5,7 +5,6 @@ import (
 
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
-	"sdssort/internal/metrics"
 	"sdssort/internal/partition"
 )
 
@@ -50,79 +49,20 @@ func ExchangeSorted[T any](wc *comm.Comm, work []T, bounds []int, cd codec.Codec
 		}
 	}()
 
-	tm := opt.timer()
-	tr := opt.tracer()
-	rank := wc.Rank()
-
 	if p == 1 {
 		ok = true
 		return work, nil
 	}
-
-	tm.Start(metrics.PhaseExchange)
-	scounts := partition.Counts(bounds)
-	tr.Emit(rank, "partition.histogram", histogramDetail(scounts))
-	rcounts, err := exchangeCounts(wc, scounts)
-	if err != nil {
-		return nil, fmt.Errorf("core: count exchange: %w", err)
-	}
-	var m int64
-	for _, rc := range rcounts {
-		m += rc
-	}
-	stage := effStage(opt.StageBytes, recSize)
-	tr.Emit(rank, "exchange.plan", map[string]any{
-		"send_records": len(work), "recv_records": m,
-		"overlap":     !opt.Stable && p <= opt.TauO,
-		"stage_bytes": stage, "staged": stage > 0,
-		"zero_copy": zeroCopyEligible(cd, opt),
-	})
-	// Per-phase skew diagnostics, identical to core.Sort's exchange:
-	// every driver that moves data through here reports the received
-	// partition geometry. Collective when opt.Skew is set.
-	if err := observeSkew(wc, metrics.SkewExchange, m, opt, tr, rank); err != nil {
-		return nil, err
-	}
-
-	// Receive-buffer budgeting doubles as the spill trigger, exactly as
-	// in core.Sort: the decision is collective, so if any rank must
-	// spill, every rank takes the spilled path.
-	reserveErr := acct.reserve(m * recSize)
-	if opt.Spill != nil {
-		spill, aerr := agreeSpill(wc, opt.Spill.Force || reserveErr != nil)
-		if aerr != nil {
-			return nil, aerr
-		}
-		if spill {
-			if reserveErr == nil {
-				acct.release(m * recSize)
-			}
-			out, err := spillExchange(wc, work, bounds, rcounts, m, cd, cmp, opt, tm, acct, tr, rank)
-			if err != nil {
-				return nil, err
-			}
-			// spillExchange settled the work bytes and reserved the
-			// output; that reservation transfers to the caller.
-			ok = true
-			return out, nil
-		}
-	}
-	if reserveErr != nil {
-		return nil, fmt.Errorf("core: receive buffer of %d records: %w", m, reserveErr)
-	}
-
-	var out []T
-	if opt.Stable || p > opt.TauO {
-		out, err = syncExchange(wc, work, bounds, rcounts, cd, cmp, opt, tm, acct)
-	} else {
-		out, err = overlapExchange(wc, work, bounds, rcounts, cd, cmp, opt, tm, acct)
-	}
+	out, spilled, err := exchangeBlock(wc, work, bounds, cd, cmp, opt, opt.timer(), acct)
 	if err != nil {
 		return nil, err
 	}
-	// The input has been shipped; its bytes go back to the budget and
-	// the receive reservation transfers to the caller with the output.
-	acct.release(workBytes)
+	if !spilled {
+		// The input has been shipped; its bytes go back to the budget
+		// and the receive reservation transfers to the caller with the
+		// output. (spillExchange made the same trade itself.)
+		acct.release(workBytes)
+	}
 	ok = true
 	return out, nil
 }

@@ -15,17 +15,17 @@ import (
 
 // TestSortZeroCopyMatchesMarshal: the zero-copy exchange is a pure
 // acceleration, so with the same input and the same local ordering the
-// outputs of the zero-copy and the marshal exchange must be identical
-// record for record — across the sync-merge, sync-resort, overlap and
-// staged shapes. Radix dispatch is disabled on both sides so the only
-// difference under test is the exchange encoding.
+// outputs of the zero-copy codec and its marshal-path twin must be
+// identical record for record — across the sync-merge, sync-resort,
+// overlap and staged shapes. Radix dispatch is disabled on both sides
+// so the only difference under test is the exchange encoding.
 func TestSortZeroCopyMatchesMarshal(t *testing.T) {
 	topo := cluster.Topology{Nodes: 2, CoresPerNode: 2}
 	configs := []struct {
 		name string
 		opt  Options
-		// The overlap exchange consumes chunks in arrival order, so
-		// the placement of equal keys varies run to run even within one
+		// The overlap exchange merges sources in arrival order, so the
+		// placement of equal keys varies run to run even within one
 		// encoding path; for it both runs are checked for sorted
 		// permutations instead of record-for-record equality.
 		exact bool
@@ -47,11 +47,10 @@ func TestSortZeroCopyMatchesMarshal(t *testing.T) {
 				if !opt.Exchange.ZeroCopyUsed() {
 					t.Fatal("zero-copy-capable codec took the marshal path")
 				}
-				opt.DisableZeroCopy = true
 				opt.Exchange = &metrics.ExchangeStats{}
-				slow := runSort(t, topo, in, opt)
+				slow := runSortCodec(t, topo, in, marshalTagged, opt)
 				if opt.Exchange.ZeroCopyUsed() {
-					t.Fatal("DisableZeroCopy did not disable the fast path")
+					t.Fatal("non-zero-copy codec took the zero-copy path")
 				}
 				if cfg.exact {
 					equalOutputs(t, slow, fast, cfg.name)
@@ -69,12 +68,7 @@ func TestSortZeroCopyMatchesMarshal(t *testing.T) {
 // zero-copy counters) and still produce sorted output.
 func TestSortNonZeroCopyCodecFallsBack(t *testing.T) {
 	topo := cluster.Topology{Nodes: 2, CoresPerNode: 2}
-	plain := codec.Funcs[codec.Tagged]{
-		Width:     16,
-		MarshalFn: codec.TaggedCodec{}.Marshal,
-		UnmarshFn: codec.TaggedCodec{}.Unmarshal,
-	}
-	if codec.IsZeroCopy[codec.Tagged](plain) {
+	if codec.IsZeroCopy(marshalTagged) {
 		t.Fatal("test premise broken: Funcs without ZeroCopyOK qualified")
 	}
 	in := makeTagged(topo.Size(), 300, zipfGen(71, 1.3))
@@ -84,13 +78,7 @@ func TestSortNonZeroCopyCodecFallsBack(t *testing.T) {
 	opt.TauO = 0
 	opt.StageBytes = stage
 	opt.Exchange = &metrics.ExchangeStats{}
-	out, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]codec.Tagged, error) {
-		local := append([]codec.Tagged(nil), in[c.Rank()]...)
-		return Sort(c, local, plain, codec.CompareTagged, opt)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := runSortCodec(t, topo, in, marshalTagged, opt)
 	checkSorted(t, in, out, false)
 	if opt.Exchange.ZeroCopyUsed() {
 		t.Fatal("non-zero-copy codec moved bytes through the zero-copy path")

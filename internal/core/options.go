@@ -52,9 +52,10 @@ type Options struct {
 	// larger messages hit the network (§2.3). Zero disables merging.
 	TauM int64
 
-	// TauO is the overlap threshold: when the communicator is smaller
-	// than TauO (and the sort is not stable), the exchange overlaps
-	// with local ordering via asynchronous receives (§2.6).
+	// TauO is the overlap threshold: when the communicator has at most
+	// TauO processes (p <= TauO) and the sort is not stable, the
+	// exchange overlaps with local ordering via asynchronous receives
+	// (§2.6).
 	TauO int
 
 	// TauS is the local-ordering threshold: with fewer than TauS
@@ -76,12 +77,12 @@ type Options struct {
 	Mem *memlimit.Gauge
 
 	// StageBytes bounds the staging window of the all-to-all data
-	// exchange: partitions are encoded chunk-by-chunk into pooled
-	// buffers of at most this many bytes (rounded down to whole
-	// records) and arriving chunks are decoded incrementally, so the
-	// exchange's memory beyond input and receive buffers is ~2×
-	// StageBytes instead of an encoded copy of the working set. Zero
-	// keeps the legacy monolithic exchange.
+	// exchange: partitions move in chunks of at most this many bytes
+	// (rounded down to whole records) and arriving chunks are decoded
+	// straight into the receive slab, so the exchange's memory beyond
+	// input and receive buffers is one chunk per direction (1× the
+	// window for zero-copy codecs, 2× for the marshal path). Zero
+	// means one chunk per peer.
 	StageBytes int64
 
 	// Exchange, when non-nil, accrues staged-exchange counters (bytes
@@ -128,12 +129,6 @@ type Options struct {
 	// becomes available for inputs larger than the budget. Must agree
 	// across ranks — the spill decision is collective. See SpillOptions.
 	Spill *SpillOptions
-
-	// DisableZeroCopy forces the exchange through the generic marshal
-	// path — encode into pooled buffers, decode record by record —
-	// even for zero-copy-capable codecs. Benchmark/ablation knob: the
-	// wire bytes and the output are identical either way.
-	DisableZeroCopy bool
 
 	// DisableRadixDispatch keeps local ordering on the comparison
 	// sorts even for integer-keyed codecs. Benchmark/ablation knob.

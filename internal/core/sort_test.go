@@ -16,6 +16,14 @@ import (
 
 var taggedCodec = codec.TaggedCodec{}
 
+// marshalTagged is TaggedCodec without the zero-copy declaration: the
+// same records and wire bytes, sent through the marshal path.
+var marshalTagged codec.Codec[codec.Tagged] = codec.Funcs[codec.Tagged]{
+	Width:     16,
+	MarshalFn: codec.TaggedCodec{}.Marshal,
+	UnmarshFn: codec.TaggedCodec{}.Unmarshal,
+}
+
 // makeTagged builds per-rank inputs of Tagged records with keys from
 // gen, tagging each record with its (rank, index) origin.
 func makeTagged(p, perRank int, gen func(rank, i int) float64) [][]codec.Tagged {
@@ -34,9 +42,15 @@ func makeTagged(p, perRank int, gen func(rank, i int) float64) [][]codec.Tagged 
 // returns the per-rank outputs.
 func runSort(t *testing.T, topo cluster.Topology, in [][]codec.Tagged, opt Options) [][]codec.Tagged {
 	t.Helper()
+	return runSortCodec(t, topo, in, taggedCodec, opt)
+}
+
+// runSortCodec is runSort with the record codec chosen by the caller.
+func runSortCodec(t *testing.T, topo cluster.Topology, in [][]codec.Tagged, cd codec.Codec[codec.Tagged], opt Options) [][]codec.Tagged {
+	t.Helper()
 	out, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]codec.Tagged, error) {
 		local := append([]codec.Tagged(nil), in[c.Rank()]...)
-		return Sort(c, local, taggedCodec, codec.CompareTagged, opt)
+		return Sort(c, local, cd, codec.CompareTagged, opt)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -22,8 +22,8 @@ import (
 // atomic temp-and-rename commit the checkpoint writer uses. The output
 // is then a lazy k-way merge over the run files with the source rank
 // as tiebreaker, which is exactly the stable rank-ordered merge of the
-// in-memory path — so every driver path (stable, staged, monolithic,
-// zero-copy, marshal) spills with identical output bytes.
+// in-memory path — so every driver path (stable or not, any stage
+// size, zero-copy or marshal) spills with identical output bytes.
 //
 // SortStream (spillstream.go) extends the same machinery to the input
 // side, so a rank never needs its full shard resident at once.
@@ -145,8 +145,8 @@ func (sp *SpillOptions) mergeOptions(tempDir string, g *memlimit.Gauge) extsort.
 }
 
 // spillStage picks the stage-chunk size for a spilled exchange: the
-// configured StageBytes, or — because the spill path is always staged,
-// a monolithic chunk would defeat the bounded window — 4 × BufBytes.
+// configured StageBytes, or — because one chunk per peer would defeat
+// the bounded window — 4 × BufBytes.
 func spillStage(opt Options, recSize int64) int64 {
 	if s := effStage(opt.StageBytes, recSize); s > 0 {
 		return s
@@ -276,8 +276,9 @@ func spillExchange[T any](wc *comm.Comm, work []T, bounds []int, rcounts []int64
 	// The spill phase is its own span (not "exchange"): the run-file
 	// detour changes the cost model enough that a timeline reader
 	// should see it as a distinct critical-path step.
+	s := newSender(work, bounds, cd, opt.Exchange)
 	ssp := trace.StartSpan(tr, rank, opt.Span, "spill", map[string]any{
-		"recv_records": m, "zero_copy": zeroCopyEligible(cd, opt),
+		"recv_records": m, "zero_copy": s.zc,
 	})
 
 	dir, err := os.MkdirTemp(spillRoot(sp), "spill-*")
@@ -287,49 +288,16 @@ func spillExchange[T any](wc *comm.Comm, work []T, bounds []int, rcounts []int64
 	defer os.RemoveAll(dir)
 
 	stage := spillStage(opt, recSize)
-	zc := zeroCopyEligible(cd, opt)
-	// Window: one incoming chunk, plus one outgoing encode buffer on
-	// the marshal path (zero-copy sends alias the work slab), plus the
-	// spool's single write buffer.
-	window := 2*stage + int64(sp.bufBytes())
-	if zc {
-		window = stage + int64(sp.bufBytes())
-	}
+	// Window: the exchange's staging window plus the spool's single
+	// write buffer.
+	window := s.window(stage) + int64(sp.bufBytes())
 	if err := acct.reserve(window); err != nil {
 		return nil, fmt.Errorf("core: spill staging window of %d bytes: %w", window, err)
 	}
 	opt.Exchange.ObservePeakStaging(window)
 
 	spool := newRecvSpool(dir, p, sp.bufBytes(), recSize, sp.Stats)
-	so := comm.StagedOptions{
-		StageBytes: stage,
-		SendBytes:  sendBytesOf(bounds, p, recSize),
-		RecvBytes:  scale(rcounts, recSize),
-		OnWindow:   opt.Exchange.AddWindow,
-		Drain:      spool.drain,
-	}
-	var pool *codec.BufferPool
-	if zc {
-		workBytes, ok := codec.View(cd, work)
-		if !ok {
-			return nil, fmt.Errorf("core: zero-copy spill on non-zero-copy codec")
-		}
-		so.Fill = func(dst int, off, n int64) ([]byte, error) {
-			lo := int64(bounds[dst])*recSize + off
-			return workBytes[lo : lo+n : lo+n], nil
-		}
-	} else {
-		pool = &codec.BufferPool{}
-		so.Fill = stagedFill(work, bounds, cd, recSize, pool)
-		so.FillDone = func(_ int, buf []byte) { pool.Put(buf) }
-	}
-	st, err := wc.StagedAlltoallv(so)
-	opt.Exchange.AddStaged(st.BytesStaged, st.Chunks)
-	if zc {
-		opt.Exchange.AddZeroCopy(st.BytesStaged, st.Chunks)
-	} else {
-		opt.Exchange.AddPool(pool.Stats())
-	}
+	st, err := s.alltoall(wc, stage, rcounts, spool.drain)
 	if err != nil {
 		spool.abort()
 		return nil, fmt.Errorf("core: spilled alltoall: %w", err)

@@ -58,7 +58,8 @@ func canonTagged(a, b codec.Tagged) int {
 // goes through disk runs, and the per-rank outputs must be identical —
 // not merely "some sorted order" — to the in-memory path, on every
 // driver path: sync-merge, sync-resort, overlap, stable, τm-merged,
-// staged and monolithic, zero-copy and marshal.
+// at stage 0 (one chunk per peer, the "monolithic" cases) and staged,
+// with the zero-copy codec and its marshal-path twin.
 func TestSpillForcedMatchesInMemory(t *testing.T) {
 	topo := cluster.Topology{Nodes: 2, CoresPerNode: 2}
 	p := topo.Size()
@@ -90,8 +91,11 @@ func TestSpillForcedMatchesInMemory(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						base := cfg.opt
 						base.StageBytes = stage
-						base.DisableZeroCopy = !zc
-						want := runSort(t, topo, in, base)
+						var cd codec.Codec[codec.Tagged] = taggedCodec
+						if !zc {
+							cd = marshalTagged
+						}
+						want := runSortCodec(t, topo, in, cd, base)
 						checkSorted(t, in, want, base.Stable)
 
 						spilled := base
@@ -101,7 +105,7 @@ func TestSpillForcedMatchesInMemory(t *testing.T) {
 							Force: true, Dir: t.TempDir(),
 							BufBytes: 4 << 10, Stats: stats,
 						}
-						got := runSort(t, topo, in, spilled)
+						got := runSortCodec(t, topo, in, cd, spilled)
 						equalOutputs(t, want, got, "spill-forced")
 						if !stats.Spilled() {
 							t.Fatal("forced spill never spilled")

@@ -295,7 +295,7 @@ func SortStream[T any](c *comm.Comm, in RecordSource[T], cd codec.Codec[T], cmp 
 	opt.Exchange.ObservePeakStaging(window)
 	tr.Emit(rank, "exchange.plan", map[string]any{
 		"send_records": total, "recv_records": m,
-		"stage_bytes": stage, "staged": true, "spilled": true,
+		"stage_bytes": stage, "spilled": true,
 	})
 
 	pool := &codec.BufferPool{}

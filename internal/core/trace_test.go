@@ -71,3 +71,64 @@ func TestSortTraceNodeMerge(t *testing.T) {
 		t.Fatalf("%d leaders, want 2", got)
 	}
 }
+
+// TestOverlapMergesOncePerSource: the overlapped exchange drains every
+// chunk of a source into its slab region and merges the source into
+// the running result once, when its last chunk lands. At StageBytes=16
+// every record is its own chunk, so a per-chunk merge would show up as
+// far more merges than non-empty remote sources. Rank 0's keys all
+// fall below the first pivot, so some destinations have an empty
+// remote source as well.
+func TestOverlapMergesOncePerSource(t *testing.T) {
+	topo := cluster.Topology{Nodes: 2, CoresPerNode: 2}
+	p := topo.Size()
+	uniform := uniformGen(81)
+	in := makeTagged(p, 300, func(rank, i int) float64 {
+		if rank == 0 {
+			return -float64(i)
+		}
+		return uniform(rank, i)
+	})
+	rec := trace.NewRecorder()
+	opt := DefaultOptions()
+	opt.TauO = 1 << 20
+	opt.TauM = 0
+	opt.StageBytes = 16
+	opt.Trace = rec
+	out := runSort(t, topo, in, opt)
+	checkSorted(t, in, out, false)
+
+	// sent[src][dst] from each rank's partition histogram.
+	sent := make([][]int64, p)
+	for _, e := range rec.ByKind("partition.histogram") {
+		sent[e.Rank] = e.Detail["sent"].([]int64)
+	}
+	spans := 0
+	emptySources := 0
+	for _, sp := range trace.BuildSpans(rec.Events()) {
+		if sp.Name != "exchange" {
+			continue
+		}
+		spans++
+		want := 0
+		for src := 0; src < p; src++ {
+			if src == sp.Rank {
+				continue
+			}
+			if sent[src][sp.Rank] > 0 {
+				want++
+			} else {
+				emptySources++
+			}
+		}
+		if got := sp.Detail["merges"]; got != want {
+			t.Errorf("rank %d: %v merges, want one per non-empty remote source (%d)", sp.Rank, got, want)
+		}
+	}
+	if spans != p {
+		t.Fatalf("%d exchange spans, want %d", spans, p)
+	}
+	if emptySources == 0 {
+		t.Fatal("test premise broken: every remote source sent records")
+	}
+}

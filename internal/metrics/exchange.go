@@ -27,7 +27,10 @@ type ExchangeStats struct {
 	// ZeroCopyBytes / ZeroCopyChunks count exchange payload moved by
 	// the zero-copy path: scatter-gathered directly between record
 	// slabs and the transport, with no encode/decode through pooled
-	// buffers. Zero on both means every exchange took the generic
+	// buffers. The bytes are the whole partitioned working set the
+	// exchange sent, the self partition included, on the synchronous,
+	// overlapped and spilled paths alike (the same bytes BytesStaged
+	// counts). Zero on both means every exchange took the generic
 	// marshal path.
 	ZeroCopyBytes  atomic.Int64
 	ZeroCopyChunks atomic.Int64

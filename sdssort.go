@@ -166,12 +166,11 @@ func RunThreshold(avgRunLen float64) Option {
 func MemoryBudget(bytes int64) Option { return func(c *config) { c.mem = bytes } }
 
 // StageBytes bounds the staging window of the all-to-all data exchange:
-// partitions stream out in chunks of at most this many bytes through
-// pooled buffers and arriving chunks are decoded incrementally, so the
-// exchange adds ~2×StageBytes of staging memory instead of an encoded
-// copy of the whole working set. 0 (the default) keeps the monolithic
-// exchange. Combined with MemoryBudget, the budget then bounds the true
-// peak: input + receive buffer + staging window.
+// partitions stream out in chunks of at most this many bytes and
+// arriving chunks are decoded straight into the receive buffer, so the
+// exchange adds at most 2×StageBytes of staging memory. 0 (the default)
+// means one chunk per peer. Combined with MemoryBudget, the budget then
+// bounds the true peak: input + receive buffer + staging window.
 func StageBytes(bytes int64) Option { return func(c *config) { c.opt.StageBytes = bytes } }
 
 // HistogramPivots selects global pivots by iterative histogram
