@@ -23,7 +23,7 @@ LDFLAGS := -X sdssort/internal/buildinfo.Version=$(VERSION)
 BENCH_PROCS    ?= 4
 BENCH_TIME     ?= 1s
 BENCH_COUNT    ?= 5
-BENCH_HOT      := ^(BenchmarkExchange|BenchmarkLocalSortIntKeys|BenchmarkMergeKernel|BenchmarkSpillMerge|BenchmarkAlgoCompare)$$
+BENCH_HOT      := ^(BenchmarkExchange|BenchmarkLocalSortIntKeys|BenchmarkLocalSortFloat64Keys|BenchmarkMergeKernel|BenchmarkSpillMerge|BenchmarkAlgoCompare)$$
 BENCH_HOT_PKGS := ./internal/core/ ./internal/psort/ ./internal/algo/
 
 .PHONY: all build install test race vet lint bench bench-json bench-json-all bench-baseline bench-diff algo-matrix soak soak-engine soak-shrink soak-spill telemetry-smoke trace-smoke experiments experiments-quick fuzz clean
@@ -144,11 +144,12 @@ experiments:
 experiments-quick:
 	$(GO) run ./cmd/sdsbench -exp all -quick
 
-# Short fuzzing pass over the sort, partition and checkpoint-manifest
-# invariants.
+# Short fuzzing pass over the sort, radix-dispatch, partition and
+# checkpoint-manifest invariants.
 fuzz:
 	$(GO) test ./internal/psort -fuzz FuzzSort -fuzztime 30s -run xxx
 	$(GO) test ./internal/psort -fuzz FuzzStableSort -fuzztime 30s -run xxx
+	$(GO) test ./internal/radix -fuzz FuzzDispatchFloat64 -fuzztime 30s -run xxx
 	$(GO) test ./internal/partition -fuzz FuzzFastPartition -fuzztime 30s -run xxx
 	$(GO) test ./internal/partition -fuzz FuzzStablePartition -fuzztime 30s -run xxx
 	$(GO) test ./internal/checkpoint -fuzz FuzzManifest -fuzztime 30s -run xxx

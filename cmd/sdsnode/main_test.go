@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"sdssort/internal/checkpoint"
@@ -102,15 +103,42 @@ func TestNodeBadFlags(t *testing.T) {
 	}
 }
 
-// child starts one sdsnode child process and returns the command.
+// child starts one sdsnode child process and returns the command. If
+// the test fails, the child's stderr (its log) goes to the test log.
 func child(t *testing.T, args ...string) *exec.Cmd {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "SDSNODE_CLI_CHILD=1")
+	stderr := new(lockedBuffer)
+	cmd.Stderr = stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("child %q stderr:\n%s", args, stderr.String())
+		}
+	})
 	return cmd
+}
+
+// lockedBuffer is a bytes.Buffer safe to read while a child's stderr
+// copier may still be writing it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 // exitOf waits for the child and returns its exit code.

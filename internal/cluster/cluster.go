@@ -448,13 +448,16 @@ func tryShrink(opts Options, tr trace.Tracer, size int, lost []int, newEpoch int
 // ascending, including itself) and gets back a communicator spanning
 // exactly those ranks, renumbered in group order.
 //
-// The returned world is verified with a bounded barrier. Because the
-// member list is folded into the message context (comm.AttachGroup),
-// survivors that disagree on who died can never reach each other's
-// barrier — the disagreement, or a listed survivor that is actually
-// dead, surfaces as a timeout here rather than as a hang or a
-// wrong-world delivery. On timeout the caller should fall back to the
-// relaunch path. timeout <= 0 defaults to 5s.
+// The returned world is verified with a barrier bounded by timeout,
+// not by the transport's receive timeout: a survivor that learns of the
+// loss from a failed send enters it a receive timeout or more before one
+// that learns from a timed-out receive. Because the member list is
+// folded into the message context (comm.AttachGroup), survivors that
+// disagree on who died can never reach each other's barrier — the
+// disagreement, or a listed survivor that is actually dead, surfaces as
+// a timeout here rather than as a hang or a wrong-world delivery. On
+// timeout the caller should fall back to the relaunch path. timeout <= 0
+// defaults to 5s.
 func Reform(tr comm.Transport, name string, survivors []int, timeout time.Duration) (*comm.Comm, error) {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
@@ -464,7 +467,7 @@ func Reform(tr comm.Transport, name string, survivors []int, timeout time.Durati
 		return nil, fmt.Errorf("cluster: reform: %w", err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- c.Barrier() }()
+	go func() { done <- c.BarrierUntil(time.Now().Add(timeout)) }()
 	select {
 	case err := <-done:
 		if err != nil {

@@ -117,6 +117,14 @@ func (Float64) AppendSlice(dst []byte, recs []float64) []byte {
 	return dst
 }
 
+// Uint64Key is the IEEE-754 sign-flip map (negative floats inverted,
+// others with the sign bit set): unsigned order is numeric order, −0
+// just below +0, NaNs beyond ±Inf. Equal keys mean identical floats.
+func (Float64) Uint64Key(v float64) uint64 {
+	b := math.Float64bits(v)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
 // Uint64 encodes uint64 keys little-endian.
 type Uint64 struct{}
 

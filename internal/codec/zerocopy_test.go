@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -189,7 +190,17 @@ func TestUint64KeyOrder(t *testing.T) {
 	if pkey(a) >= pkey(b) {
 		t.Errorf("particle key order broken: %d >= %d", pkey(a), pkey(b))
 	}
-	if _, ok := Uint64KeyOf[float64](Float64{}); ok {
-		t.Error("Float64 claims an integer key")
+	fkey, ok := Uint64KeyOf[float64](Float64{})
+	if !ok {
+		t.Fatal("Float64 has no Uint64Key")
+	}
+	smallest := math.SmallestNonzeroFloat64
+	floats := []float64{math.Inf(-1), -math.MaxFloat64, -1, -smallest,
+		math.Copysign(0, -1), 0, smallest, 1, math.MaxFloat64, math.Inf(1)}
+	for i := 1; i < len(floats); i++ {
+		if fkey(floats[i-1]) >= fkey(floats[i]) {
+			t.Errorf("key(%v) = %#x not below key(%v) = %#x",
+				floats[i-1], fkey(floats[i-1]), floats[i], fkey(floats[i]))
+		}
 	}
 }

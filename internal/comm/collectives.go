@@ -2,13 +2,22 @@ package comm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"time"
 )
 
 // Barrier blocks until every rank of the communicator has entered it.
 // It uses the dissemination algorithm: ceil(log2(p)) rounds of
 // shifted send/recv pairs, so it is O(log p) over any transport.
-func (c *Comm) Barrier() error {
+func (c *Comm) Barrier() error { return c.BarrierUntil(time.Time{}) }
+
+// BarrierUntil is Barrier for a world whose members may arrive far
+// apart, such as one re-forming after a rank loss: a receive that
+// outwaits the transport's failure detector (ErrRecvTimeout) is retried
+// until deadline, so the barrier honours the caller's deadline rather
+// than the per-receive timeout. A zero deadline never retries.
+func (c *Comm) BarrierUntil(deadline time.Time) error {
 	p := len(c.group)
 	if p == 1 {
 		return nil
@@ -20,7 +29,11 @@ func (c *Comm) Barrier() error {
 		if err := c.sendInternal(dst, tag, nil); err != nil {
 			return fmt.Errorf("comm: barrier send: %w", err)
 		}
-		if _, err := c.recvInternal(src, tag); err != nil {
+		_, err := c.recvInternal(src, tag)
+		for errors.Is(err, ErrRecvTimeout) && time.Now().Before(deadline) {
+			_, err = c.recvInternal(src, tag)
+		}
+		if err != nil {
 			return fmt.Errorf("comm: barrier recv: %w", err)
 		}
 	}

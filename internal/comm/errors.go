@@ -39,6 +39,12 @@ func PeerLost(err error) (rank int, ok bool) {
 	return -1, false
 }
 
+// ErrRecvTimeout marks a receive that outwaited the transport's
+// failure detector (tcpcomm's RecvTimeout), surfaced wrapped in
+// ErrPeerLost. No message was consumed, so a caller with a longer
+// deadline of its own may receive again (Comm.BarrierUntil does).
+var ErrRecvTimeout = errors.New("comm: receive timed out")
+
 // ErrCanceled is returned by cancellation-aware receives
 // (CancelableTransport.RecvCancel and decorators built on it) when the
 // cancel channel closes before a message arrives. No message is

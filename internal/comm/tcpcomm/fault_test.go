@@ -286,7 +286,7 @@ func TestFaultFrameGapPoisonsMailbox(t *testing.T) {
 			t.Fatalf("frame %d arrived as %v, %v", want, data, err)
 		}
 	}
-	if _, err := tr.box.take(1, 0, 0, 50*time.Millisecond); !errors.Is(err, errRecvTimeout) {
+	if _, err := tr.box.take(1, 0, 0, 50*time.Millisecond); !errors.Is(err, comm.ErrRecvTimeout) {
 		t.Fatalf("duplicate leaked into the mailbox: %v", err)
 	}
 

@@ -3,6 +3,8 @@ package tcpcomm
 import (
 	"sync"
 	"time"
+
+	"sdssort/internal/comm"
 )
 
 type message struct {
@@ -63,7 +65,7 @@ func (b *mailbox) fail(src int, err error) {
 
 // take returns the next frame for (src, ctx, tag), blocking until one
 // arrives. With timeout > 0 the wait is bounded and expiry returns
-// errRecvTimeout.
+// comm.ErrRecvTimeout.
 func (b *mailbox) take(src int, ctx uint64, tag int32, timeout time.Duration) ([]byte, error) {
 	k := msgKey{src: src, ctx: ctx, tag: tag}
 	b.mu.Lock()
@@ -97,7 +99,7 @@ func (b *mailbox) take(src int, ctx uint64, tag int32, timeout time.Duration) ([
 			return nil, ErrClosed
 		}
 		if expired {
-			return nil, errRecvTimeout
+			return nil, comm.ErrRecvTimeout
 		}
 		b.cond.Wait()
 	}

@@ -50,10 +50,6 @@ const MaxFrameSize = 1 << 30
 // ErrClosed is returned on operations against a closed transport.
 var ErrClosed = errors.New("tcpcomm: closed")
 
-// errRecvTimeout marks a Recv that outwaited Config.RecvTimeout; it is
-// surfaced wrapped in comm.ErrPeerLost.
-var errRecvTimeout = errors.New("tcpcomm: receive timed out")
-
 // Config describes one rank's endpoint.
 type Config struct {
 	// Rank and Size identify this process within the world.
@@ -528,7 +524,7 @@ func (t *Transport) Recv(src int, ctx uint64, tag int32) ([]byte, error) {
 		return nil, fmt.Errorf("tcpcomm: recv from rank %d out of range", src)
 	}
 	data, err := t.box.take(src, ctx, tag, t.cfg.RecvTimeout)
-	if errors.Is(err, errRecvTimeout) {
+	if errors.Is(err, comm.ErrRecvTimeout) {
 		return nil, &comm.ErrPeerLost{Rank: src, Err: err}
 	}
 	return data, err

@@ -11,6 +11,7 @@ import (
 	"sdssort/internal/metrics"
 	"sdssort/internal/psort"
 	"sdssort/internal/radix"
+	"sdssort/internal/workload"
 )
 
 // TestSortZeroCopyMatchesMarshal: the zero-copy exchange is a pure
@@ -178,4 +179,36 @@ func BenchmarkLocalSortIntKeys(b *testing.B) {
 			psort.Sort(data, cmpInt64)
 		}
 	})
+}
+
+// BenchmarkLocalSortFloat64Keys is BenchmarkLocalSortIntKeys for the
+// float64 keys of every workload: the in-place MSD dispatch against the
+// comparison sort, on Zipf (the paper's α=1.4 skew) and uniform keys.
+func BenchmarkLocalSortFloat64Keys(b *testing.B) {
+	const n = 1 << 17
+	for _, in := range []struct {
+		name string
+		src  []float64
+	}{
+		{"zipf", workload.ZipfKeys(9, n, 1.4, workload.DefaultZipfUniverse)},
+		{"uniform", workload.Uniform(9, n)},
+	} {
+		data := make([]float64, n)
+		b.Run(in.name+"/radix", func(b *testing.B) {
+			b.SetBytes(8 * n)
+			for i := 0; i < b.N; i++ {
+				copy(data, in.src)
+				if !radix.DispatchLocal(data, codec.Float64{}, cmpF) {
+					b.Fatal("dispatch refused float64 keys")
+				}
+			}
+		})
+		b.Run(in.name+"/comparison", func(b *testing.B) {
+			b.SetBytes(8 * n)
+			for i := 0; i < b.N; i++ {
+				copy(data, in.src)
+				psort.Sort(data, cmpF)
+			}
+		})
+	}
 }

@@ -70,7 +70,10 @@ func runShrinkSort(t *testing.T, topo cluster.Topology, opts cluster.Options, di
 			return err
 		}
 		opt := base
-		ck := &Checkpointing{Store: store, Epoch: ep.N, Recovery: opts.Recovery}
+		// Synchronous commits: a kill keyed on a manifest file then
+		// fires at the phase boundary it names, not whenever the
+		// background writer gets to it.
+		ck := &Checkpointing{Store: store, Epoch: ep.N, Sync: true, Recovery: opts.Recovery}
 		switch {
 		case ep.Degraded:
 			ck.Resume = ep.Resume
@@ -239,6 +242,11 @@ func TestShrinkCascade(t *testing.T) {
 	gauge := memlimit.Unlimited()
 	opt := DefaultOptions()
 	opt.Mem = gauge
+	// No node merging: a merged-away follower takes no part in the
+	// exchange, so the first kill could only fire once the full world
+	// had already committed its final cut, leaving the degraded epoch
+	// nothing to do and the second kill nothing to hit.
+	opt.TauM = 0
 	opts := cluster.Options{
 		MaxRestarts: 2,
 		Recovery:    &stats,

@@ -624,7 +624,8 @@ func (e *Engine) jobDone(j *Job) {
 	} else {
 		e.completed.Add(1)
 	}
-	close(j.done)
+	// Release before unblocking Wait: a caller that sees the job done
+	// must see its footprint back in the gauge.
 	e.mu.Lock()
 	if j.spec.Footprint > 0 {
 		e.opts.Mem.Release(j.spec.Footprint + j.extra)
@@ -633,6 +634,7 @@ func (e *Engine) jobDone(j *Job) {
 	e.scheduleLocked()
 	e.cond.Broadcast()
 	e.mu.Unlock()
+	close(j.done)
 	ev := map[string]any{
 		"job": j.id, "name": j.metrics.Name,
 		"elapsed": j.metrics.Elapsed().String(),

@@ -11,7 +11,7 @@ import (
 
 // Table1 reproduces Table 1: time of the sequential sort versus the
 // sequential stable sort (the paper's std::sort / std::stable_sort, our
-// introsort / merge sort) on 1GB of uniform keys and on Zipf keys with
+// pdqsort / merge sort) on 1GB of uniform keys and on Zipf keys with
 // α ∈ {0.7, 1.4, 2.1}. The paper's observations to reproduce: stable is
 // slower than unstable, and more-duplicated data sorts faster.
 func Table1(cfg Config) (*Result, error) {

@@ -9,123 +9,17 @@
 // user-chosen key works without secondary sorting keys.
 package psort
 
-import "math/bits"
+import "slices"
 
-// insertionThreshold is the subarray size below which introsort switches
-// to insertion sort.
+// insertionThreshold is the subarray size below which the merge sort
+// switches to insertion sort.
 const insertionThreshold = 16
 
-// Sort orders data in place with an unstable comparison sort (introsort:
-// median-of-three quicksort, falling back to heapsort past a depth limit
-// and to insertion sort on small ranges). It is the analogue of the
-// paper's std::sort.
+// Sort orders data in place with an unstable comparison sort — the
+// analogue of the paper's std::sort: slices.SortFunc's
+// pattern-defeating quicksort.
 func Sort[T any](data []T, cmp func(a, b T) int) {
-	if len(data) < 2 {
-		return
-	}
-	depthLimit := 2 * bits.Len(uint(len(data)))
-	introsort(data, cmp, depthLimit)
-}
-
-func introsort[T any](data []T, cmp func(a, b T) int, depth int) {
-	for len(data) > insertionThreshold {
-		if depth == 0 {
-			heapsort(data, cmp)
-			return
-		}
-		depth--
-		p := partitionHoare(data, cmp)
-		// Recurse on the smaller side, loop on the larger, bounding
-		// stack depth at O(log n).
-		if p < len(data)-p {
-			introsort(data[:p], cmp, depth)
-			data = data[p:]
-		} else {
-			introsort(data[p:], cmp, depth)
-			data = data[:p]
-		}
-	}
-	insertionSort(data, cmp)
-}
-
-// partitionHoare partitions around a median-of-three pivot and returns
-// the split point: every element of data[:p] is <= every element of
-// data[p:], with 0 < p < len(data).
-func partitionHoare[T any](data []T, cmp func(a, b T) int) int {
-	n := len(data)
-	m := n / 2
-	// Median-of-three into data[m].
-	if cmp(data[m], data[0]) < 0 {
-		data[m], data[0] = data[0], data[m]
-	}
-	if cmp(data[n-1], data[m]) < 0 {
-		data[n-1], data[m] = data[m], data[n-1]
-		if cmp(data[m], data[0]) < 0 {
-			data[m], data[0] = data[0], data[m]
-		}
-	}
-	pivot := data[m]
-	i, j := -1, n
-	for {
-		for {
-			i++
-			if cmp(data[i], pivot) >= 0 {
-				break
-			}
-		}
-		for {
-			j--
-			if cmp(data[j], pivot) <= 0 {
-				break
-			}
-		}
-		if i >= j {
-			if j == n-1 {
-				// All elements <= pivot and the scan met at the
-				// end; split before the last element to
-				// guarantee progress.
-				return n - 1
-			}
-			return j + 1
-		}
-		data[i], data[j] = data[j], data[i]
-	}
-}
-
-func insertionSort[T any](data []T, cmp func(a, b T) int) {
-	for i := 1; i < len(data); i++ {
-		for j := i; j > 0 && cmp(data[j], data[j-1]) < 0; j-- {
-			data[j], data[j-1] = data[j-1], data[j]
-		}
-	}
-}
-
-func heapsort[T any](data []T, cmp func(a, b T) int) {
-	n := len(data)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(data, i, n, cmp)
-	}
-	for end := n - 1; end > 0; end-- {
-		data[0], data[end] = data[end], data[0]
-		siftDown(data, 0, end, cmp)
-	}
-}
-
-func siftDown[T any](data []T, root, end int, cmp func(a, b T) int) {
-	for {
-		child := 2*root + 1
-		if child >= end {
-			return
-		}
-		if child+1 < end && cmp(data[child], data[child+1]) < 0 {
-			child++
-		}
-		if cmp(data[root], data[child]) >= 0 {
-			return
-		}
-		data[root], data[child] = data[child], data[root]
-		root = child
-	}
+	slices.SortFunc(data, cmp)
 }
 
 // StableSort orders data in place preserving the relative order of equal
@@ -154,8 +48,7 @@ func StableSortBuf[T any](data, scratch []T, cmp func(a, b T) int) {
 func mergeSort[T any](data, scratch []T, cmp func(a, b T) int) {
 	n := len(data)
 	if n <= insertionThreshold {
-		// Binary-insertion would also do; plain insertion is stable.
-		insertionSortStable(data, cmp)
+		insertionSort(data, cmp)
 		return
 	}
 	mid := n / 2
@@ -168,10 +61,14 @@ func mergeSort[T any](data, scratch []T, cmp func(a, b T) int) {
 	mergeInto(data, scratch[:mid], scratch[mid:], cmp)
 }
 
-// insertionSortStable is insertionSort; insertion sort is inherently
-// stable because it only swaps strictly out-of-order neighbours.
-func insertionSortStable[T any](data []T, cmp func(a, b T) int) {
-	insertionSort(data, cmp)
+// insertionSort is the merge sort's leaf. It is stable: it only swaps
+// strictly out-of-order neighbours.
+func insertionSort[T any](data []T, cmp func(a, b T) int) {
+	for i := 1; i < len(data); i++ {
+		for j := i; j > 0 && cmp(data[j], data[j-1]) < 0; j-- {
+			data[j], data[j-1] = data[j-1], data[j]
+		}
+	}
 }
 
 // mergeInto merges sorted a and b into dst (len(dst) == len(a)+len(b)),

@@ -11,7 +11,8 @@ package radix
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
+	"unsafe"
 
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
@@ -137,25 +138,111 @@ func Sort[T any](c *comm.Comm, data []T, cd codec.Codec[T], key func(T) uint64, 
 	return mine, nil
 }
 
-// DispatchLocal sorts data in place with the LSD radix pass when cd
-// extracts an integer sort key (codec.Uint64Keyer) and the result
-// agrees with the caller's comparator, reporting whether it did. The
-// agreement sweep is one O(n) comparison pass — cheap next to the sort
-// it replaces — and is what makes the dispatch safe against a
-// comparator that disagrees with the codec's canonical key order: on
-// disagreement the caller falls back to its comparison sort (data is
-// left permuted but intact). Stability note: the LSD pass is stable
-// with respect to the full key, so callers that need comparator-level
-// stability must not dispatch unless key equality implies comparator
-// equality; core gates the dispatch to non-stable sorts for exactly
-// that reason.
+// DispatchLocal sorts data in place by radix when cd has an integer
+// sort key (codec.Uint64Keyer) and the result agrees with cmp,
+// reporting whether it did. Records that are their own key (float64,
+// int64, uint64) take the in-place MSD kernel, other keyed codecs
+// LSDSort. On disagreement (the O(n) IsSorted sweep) the caller falls
+// back to its comparison sort; data is left permuted but intact. The
+// MSD kernel is not key-stable, which is safe only because for these
+// records equal keys mean identical bytes; neither kernel sees a
+// coarser comparator's ties, so core dispatches only non-stable sorts.
 func DispatchLocal[T any](data []T, cd codec.Codec[T], cmp func(a, b T) int) bool {
-	key, ok := codec.Uint64KeyOf(cd)
-	if !ok {
+	if !sortSelfKeyed(data, cd) {
+		key, ok := codec.Uint64KeyOf(cd)
+		if !ok {
+			return false
+		}
+		LSDSort(data, key)
+	}
+	return psort.IsSorted(data, cmp)
+}
+
+// sortSelfKeyed sorts records that are their own radix key, allocating
+// nothing: it views them as uint64 bits, maps them to keys in place
+// (the codecs' Uint64Key restated on raw bits: key = bits ^ flip, with
+// the low bits inverted too when the sign bit is set), sorts the keys
+// with msdSort and maps them back. It reports false for other codecs.
+func sortSelfKeyed[T any](data []T, cd codec.Codec[T]) bool {
+	var flip, low uint64
+	switch any(cd).(type) {
+	case codec.Float64:
+		flip, low = 1<<63, 1<<63-1
+	case codec.Int64:
+		flip = 1 << 63
+	case codec.Uint64:
+	default:
 		return false
 	}
-	LSDSort(data, key)
-	return psort.IsSorted(data, cmp)
+	keys := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(data))), len(data))
+	for i, b := range keys {
+		keys[i] = b ^ flip ^ uint64(int64(b)>>63)&low
+	}
+	msdSort(keys)
+	for i, k := range keys {
+		b := k ^ flip
+		keys[i] = b ^ uint64(int64(b)>>63)&low
+	}
+	return true
+}
+
+// msdSort sorts keys in place: most-significant-byte-first radix sort
+// with American-flag swaps (no scratch buffer), insertion sort below 64
+// keys. Each bucket starts at its first differing byte, found from
+// the OR and AND of its keys, so a shared prefix costs no passes and a
+// bucket of equal keys (Zipf's hot key) stops after one read.
+func msdSort(keys []uint64) {
+	if len(keys) < 64 {
+		for i := 1; i < len(keys); i++ {
+			for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
+				keys[j], keys[j-1] = keys[j-1], keys[j]
+			}
+		}
+		return
+	}
+	or, and := uint64(0), ^uint64(0)
+	for _, k := range keys {
+		or |= k
+		and &= k
+	}
+	if or == and {
+		return
+	}
+	shift := uint(bits.Len64(or^and)-1) &^ 7
+	var counts, next [256]int
+	for _, k := range keys {
+		counts[byte(k>>shift)]++
+	}
+	pos := 0
+	for b, c := range counts {
+		next[b] = pos
+		pos += c
+	}
+	// American flag: walk each bucket's unfilled region, swapping every
+	// key into the next free slot of its own bucket until one belongs.
+	end := 0
+	for b, c := range counts {
+		end += c
+		for next[b] < end {
+			k := keys[next[b]]
+			for d := byte(k >> shift); int(d) != b; d = byte(k >> shift) {
+				keys[next[d]], k = k, keys[next[d]]
+				next[d]++
+			}
+			keys[next[b]] = k
+			next[b]++
+		}
+	}
+	if shift == 0 {
+		return
+	}
+	start := 0
+	for _, c := range counts {
+		if c > 1 {
+			msdSort(keys[start : start+c])
+		}
+		start += c
+	}
 }
 
 // LSDSort sorts data in place by 8 passes of byte-wise counting sort
@@ -194,17 +281,3 @@ func LSDSort[T any](data []T, key func(T) uint64) {
 		copy(data, src)
 	}
 }
-
-// Float64Key maps a float64 to a uint64 whose unsigned order matches the
-// float order (for non-NaN values), enabling radix sorting of float
-// keys.
-func Float64Key(f float64) uint64 {
-	const signBit = 1 << 63
-	bits := floatBits(f)
-	if bits&signBit != 0 {
-		return ^bits
-	}
-	return bits | signBit
-}
-
-func floatBits(f float64) uint64 { return math.Float64bits(f) }

@@ -11,7 +11,10 @@ import (
 	"sdssort/internal/comm"
 )
 
-var u64 = codec.Uint64{}
+var (
+	u64 = codec.Uint64{}
+	f64 = codec.Float64{}
+)
 
 func ident(v uint64) uint64 { return v }
 
@@ -62,7 +65,7 @@ func TestLSDSortProperty(t *testing.T) {
 func TestFloat64KeyOrderPreserving(t *testing.T) {
 	vals := []float64{-1e300, -3.5, -0, 0, 1e-10, 2, 7.25, 1e300}
 	for i := 1; i < len(vals); i++ {
-		if !(Float64Key(vals[i-1]) <= Float64Key(vals[i])) {
+		if !(f64.Uint64Key(vals[i-1]) <= f64.Uint64Key(vals[i])) {
 			t.Fatalf("order broken between %v and %v", vals[i-1], vals[i])
 		}
 	}
@@ -71,12 +74,12 @@ func TestFloat64KeyOrderPreserving(t *testing.T) {
 			return true
 		}
 		if a < b {
-			return Float64Key(a) < Float64Key(b)
+			return f64.Uint64Key(a) < f64.Uint64Key(b)
 		}
 		if a > b {
-			return Float64Key(a) > Float64Key(b)
+			return f64.Uint64Key(a) > f64.Uint64Key(b)
 		}
-		return Float64Key(a) == Float64Key(b) || (a == 0 && b == 0)
+		return f64.Uint64Key(a) == f64.Uint64Key(b) || (a == 0 && b == 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
